@@ -48,8 +48,19 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// C = A·B. Parallelized over rows of A; throws on inner-dim mismatch.
+/// C = A·B; throws on inner-dim mismatch. Each c[i][j] starts at +0 and
+/// adds the rounded products a[i][k]·b[k][j] for k ascending, so the result
+/// is independent of tiling and thread count (see linalg/kernels.h).
 Matrix MatMul(const Matrix& a, const Matrix& b);
+
+/// C = Aᵀ·B, summed exactly as MatMul(a.Transposed(), b) but reading A in
+/// place; throws unless A and B have the same row count.
+Matrix TransposedMatMul(const Matrix& a, const Matrix& b);
+
+/// G = A·Aᵀ for an m×k A: the symmetric m×m Gram matrix, each entry
+/// Σ_k a[i][k]·a[j][k] summed as MatMul would. The upper triangle is
+/// computed and mirrored, which is exact because the products commute.
+Matrix Gram(const Matrix& a);
 
 /// Largest absolute elementwise difference; shapes must match.
 double MaxAbsDiff(const Matrix& a, const Matrix& b);

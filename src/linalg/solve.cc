@@ -1,9 +1,12 @@
 #include "linalg/solve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
+#include "linalg/kernels.h"
 #include "support/parallel.h"
 
 namespace milr {
@@ -14,53 +17,81 @@ constexpr double kSingularRel = 1e-12;
 
 }  // namespace
 
-Result<LuFactorization> LuFactorization::Compute(const Matrix& a) {
+Result<LuFactorization> LuFactorization::Compute(Matrix a) {
   if (a.rows() != a.cols()) {
     return Status(StatusCode::kInvalidArgument,
                   "LU requires a square matrix, got " + a.ShapeString());
   }
   const std::size_t n = a.rows();
-  LuFactorization f;
-  f.lu_ = a;
-  f.perm_.resize(n);
-  std::iota(f.perm_.begin(), f.perm_.end(), std::size_t{0});
-
   double max_abs = 0.0;
   for (const double v : a.flat()) max_abs = std::max(max_abs, std::abs(v));
   const double tiny = std::max(max_abs, 1.0) * kSingularRel;
 
+  LuFactorization f;
+  f.lu_ = std::move(a);
+  f.perm_.resize(n);
+  std::iota(f.perm_.begin(), f.perm_.end(), std::size_t{0});
+
+  // Blocked right-looking elimination that keeps the unblocked algorithm's
+  // arithmetic: every entry still receives its updates one step at a time,
+  // in step order, each a rounded product then a rounded subtraction. Only
+  // the columns right of the panel wait, and a row swap carries their
+  // pending updates along with the row's multipliers.
   Matrix& lu = f.lu_;
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting: pick the largest magnitude entry in column k.
-    std::size_t pivot = k;
-    double pivot_abs = std::abs(lu.at(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double v = std::abs(lu.at(r, k));
-      if (v > pivot_abs) {
-        pivot_abs = v;
-        pivot = r;
+  constexpr std::size_t kPanel = 16;
+  for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
+    const std::size_t k1 = std::min(n, k0 + kPanel);
+    for (std::size_t k = k0; k < k1; ++k) {
+      // Partial pivoting: pick the largest magnitude entry in column k.
+      std::size_t pivot = k;
+      double pivot_abs = std::abs(lu.at(k, k));
+      for (std::size_t r = k + 1; r < n; ++r) {
+        const double v = std::abs(lu.at(r, k));
+        if (v > pivot_abs) {
+          pivot_abs = v;
+          pivot = r;
+        }
+      }
+      if (pivot_abs <= tiny) {
+        return Status(StatusCode::kUnsolvable,
+                      "LU: singular at column " + std::to_string(k));
+      }
+      if (pivot != k) {
+        for (std::size_t c = 0; c < n; ++c) {
+          std::swap(lu.at(k, c), lu.at(pivot, c));
+        }
+        std::swap(f.perm_[k], f.perm_[pivot]);
+      }
+      // Multipliers, and step k on the panel's own columns.
+      const double pivot_val = lu.at(k, k);
+      const double* krow = lu.row(k);
+      for (std::size_t r = k + 1; r < n; ++r) {
+        double* rrow = lu.row(r);
+        const double factor = rrow[k] / pivot_val;
+        rrow[k] = factor;
+        if (factor == 0.0) continue;
+        for (std::size_t c = k + 1; c < k1; ++c) rrow[c] -= factor * krow[c];
       }
     }
-    if (pivot_abs <= tiny) {
-      return Status(StatusCode::kUnsolvable,
-                    "LU: singular at column " + std::to_string(k));
+    if (k1 == n) break;
+    // U's rows right of the panel: row k takes steps k0..k-1.
+    for (std::size_t k = k0 + 1; k < k1; ++k) {
+      linalg_detail::LuApplySteps(lu.row(0), n, k0, k, k, k + 1, k1);
     }
-    if (pivot != k) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(lu.at(k, c), lu.at(pivot, c));
-      }
-      std::swap(f.perm_[k], f.perm_[pivot]);
+    // Trailing block: every row below the panel takes steps k0..k1-1,
+    // parallel across row chunks only when that pays for the spawns.
+    const std::size_t rows = n - k1;
+    if (rows * rows * (k1 - k0) < linalg_detail::kInlineWork) {
+      linalg_detail::LuApplySteps(lu.row(0), n, k0, k1, k1, n, k1);
+    } else {
+      constexpr std::size_t kRowChunk = 32;
+      ParallelFor(0, (rows + kRowChunk - 1) / kRowChunk,
+                  [&lu, k0, k1, n](std::size_t chunk) {
+        const std::size_t r0 = k1 + chunk * kRowChunk;
+        linalg_detail::LuApplySteps(lu.row(0), n, k0, k1, r0,
+                                    std::min(n, r0 + kRowChunk), k1);
+      });
     }
-    const double pivot_val = lu.at(k, k);
-    const double* krow = lu.row(k);
-    // Trailing update is the O(n³) hot loop; parallelize across rows.
-    ParallelFor(k + 1, n, [&lu, krow, pivot_val, k, n](std::size_t r) {
-      double* rrow = lu.row(r);
-      const double factor = rrow[k] / pivot_val;
-      rrow[k] = factor;
-      if (factor == 0.0) return;
-      for (std::size_t c = k + 1; c < n; ++c) rrow[c] -= factor * krow[c];
-    }, /*grain=*/16);
   }
   return f;
 }
@@ -115,86 +146,88 @@ Result<QrFactorization> QrFactorization::Compute(const Matrix& a) {
                   "QR requires rows >= cols, got " + a.ShapeString());
   }
   QrFactorization f;
-  f.qr_ = a;
+  f.qrt_ = a.Transposed();
   f.tau_.assign(n, 0.0);
-  Matrix& qr = f.qr_;
+  Matrix& qrt = f.qrt_;
 
   double max_abs = 0.0;
   for (const double v : a.flat()) max_abs = std::max(max_abs, std::abs(v));
   const double tiny = std::max(max_abs, 1.0) * kSingularRel;
 
   for (std::size_t k = 0; k < n; ++k) {
-    // Build the Householder reflector for column k.
+    // Build the Householder reflector for column k (row k of qrt).
+    double* vk = qrt.row(k);
     double norm_sq = 0.0;
-    for (std::size_t r = k; r < m; ++r) {
-      const double v = qr.at(r, k);
-      norm_sq += v * v;
-    }
+    for (std::size_t r = k; r < m; ++r) norm_sq += vk[r] * vk[r];
     const double norm = std::sqrt(norm_sq);
     if (norm <= tiny) {
       return Status(StatusCode::kUnsolvable,
                     "QR: rank deficient at column " + std::to_string(k));
     }
-    const double alpha = qr.at(k, k) >= 0 ? -norm : norm;
-    const double v0 = qr.at(k, k) - alpha;
+    const double alpha = vk[k] >= 0 ? -norm : norm;
+    const double v0 = vk[k] - alpha;
     // Normalize so the reflector's leading element is 1 (stored implicitly).
-    for (std::size_t r = k + 1; r < m; ++r) qr.at(r, k) /= v0;
+    for (std::size_t r = k + 1; r < m; ++r) vk[r] /= v0;
     f.tau_[k] = -v0 / alpha;  // equals 2 / (vᵀv) with v0-scaling
-    qr.at(k, k) = alpha;
+    vk[k] = alpha;
 
-    // Apply the reflector to the trailing columns (parallel across columns).
+    // Apply the reflector to the trailing columns, four per task.
     const double tau = f.tau_[k];
-    ParallelFor(k + 1, n, [&qr, tau, k, m](std::size_t c) {
-      double dot = qr.at(k, c);
-      for (std::size_t r = k + 1; r < m; ++r) {
-        dot += qr.at(r, k) * qr.at(r, c);
-      }
-      const double scale = tau * dot;
-      qr.at(k, c) -= scale;
-      for (std::size_t r = k + 1; r < m; ++r) {
-        qr.at(r, c) -= scale * qr.at(r, k);
-      }
-    }, /*grain=*/4);
+    const std::size_t trailing = n - k - 1;
+    const std::size_t groups = (trailing + 3) / 4;
+    auto apply = [&qrt, vk, tau, k, m, n](std::size_t g) {
+      const std::size_t c0 = k + 1 + 4 * g;
+      const std::size_t count = std::min<std::size_t>(4, n - c0);
+      double* cols[4];
+      for (std::size_t i = 0; i < count; ++i) cols[i] = qrt.row(c0 + i);
+      linalg_detail::ApplyReflector(vk, tau, k, m, cols, count);
+    };
+    if (trailing * (m - k) < linalg_detail::kInlineWork) {
+      for (std::size_t g = 0; g < groups; ++g) apply(g);
+    } else {
+      ParallelFor(0, groups, apply);
+    }
   }
   return f;
 }
 
 Matrix QrFactorization::SolveLeastSquares(const Matrix& rhs) const {
-  const std::size_t m = qr_.rows();
-  const std::size_t n = qr_.cols();
+  const std::size_t m = rows();
+  const std::size_t n = cols();
   if (rhs.rows() != m) {
     throw std::invalid_argument("QR solve: rhs rows mismatch");
   }
   const std::size_t k = rhs.cols();
-  Matrix y = rhs;
-  // Apply reflectors: y := Qᵀ·y, column-parallel.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double tau = tau_[j];
-    ParallelFor(0, k, [this, &y, tau, j, m](std::size_t c) {
-      double dot = y.at(j, c);
-      for (std::size_t r = j + 1; r < m; ++r) {
-        dot += qr_.at(r, j) * y.at(r, c);
-      }
-      const double scale = tau * dot;
-      y.at(j, c) -= scale;
-      for (std::size_t r = j + 1; r < m; ++r) {
-        y.at(r, c) -= scale * qr_.at(r, j);
-      }
-    }, /*grain=*/8);
+  // Apply reflectors, y := Qᵀ·y, on transposed right-hand sides so each one
+  // is contiguous; up to four per task.
+  Matrix yt = rhs.Transposed();
+  const std::size_t groups = (k + 3) / 4;
+  auto apply = [this, &yt, k, m, n](std::size_t g) {
+    const std::size_t c0 = 4 * g;
+    const std::size_t count = std::min<std::size_t>(4, k - c0);
+    double* cols[4];
+    for (std::size_t i = 0; i < count; ++i) cols[i] = yt.row(c0 + i);
+    for (std::size_t j = 0; j < n; ++j) {
+      linalg_detail::ApplyReflector(qrt_.row(j), tau_[j], j, m, cols, count);
+    }
+  };
+  if (k * n * m < linalg_detail::kInlineWork) {
+    for (std::size_t g = 0; g < groups; ++g) apply(g);
+  } else {
+    ParallelFor(0, groups, apply);
   }
-  // Back substitution on R (top n rows of y).
+  // Back substitution on R (top n entries of each y); R(i, j) = qrt(j, i).
   Matrix x(n, k);
   for (std::size_t ri = n; ri-- > 0;) {
     double* xr = x.row(ri);
-    const double* yr = y.row(ri);
-    for (std::size_t c = 0; c < k; ++c) xr[c] = yr[c];
+    for (std::size_t c = 0; c < k; ++c) xr[c] = yt.at(c, ri);
     for (std::size_t j = ri + 1; j < n; ++j) {
-      const double u = qr_.at(ri, j);
+      const double u = qrt_.at(j, ri);
       if (u == 0.0) continue;
       const double* xj = x.row(j);
       for (std::size_t c = 0; c < k; ++c) xr[c] -= u * xj[c];
     }
-    const double diag = qr_.at(ri, ri);
+    const double diag = qrt_.at(ri, ri);
     for (std::size_t c = 0; c < k; ++c) xr[c] /= diag;
   }
   return x;
@@ -219,15 +252,15 @@ Result<Matrix> SolveLeastSquares(const Matrix& a, const Matrix& b) {
     if (!qr.ok()) return qr.status();
     return qr.value().SolveLeastSquares(b);
   }
-  // Underdetermined: minimum-norm solution x = Aᵀ·(A·Aᵀ)⁻¹·b.
-  const Matrix at = a.Transposed();
-  auto inner = SolveLinear(MatMul(a, at), b);
-  if (!inner.ok()) {
+  // Underdetermined: minimum-norm solution x = Aᵀ·(A·Aᵀ)⁻¹·b through the
+  // Gram matrix (see solve.h for the conditioning cost).
+  auto lu = LuFactorization::Compute(Gram(a));
+  if (!lu.ok()) {
     return Status(StatusCode::kUnsolvable,
                   "least squares: underdetermined system is rank deficient (" +
                       a.ShapeString() + ")");
   }
-  return MatMul(at, inner.value());
+  return TransposedMatMul(a, lu.value().Solve(b));
 }
 
 Result<Matrix> Invert(const Matrix& a) {

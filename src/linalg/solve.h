@@ -26,8 +26,9 @@ namespace milr {
 /// LU factorization with partial pivoting of a square matrix.
 class LuFactorization {
  public:
-  /// Factors `a`; kUnsolvable if `a` is (numerically) singular.
-  static Result<LuFactorization> Compute(const Matrix& a);
+  /// Factors `a` (taken by value: pass an rvalue to factor in place);
+  /// kUnsolvable if `a` is (numerically) singular.
+  static Result<LuFactorization> Compute(Matrix a);
 
   /// Solves A·X = B for X; B must have rows() == n.
   Matrix Solve(const Matrix& rhs) const;
@@ -49,12 +50,16 @@ class QrFactorization {
   /// Least-squares solution X (n×k) minimizing ‖A·X − B‖ for B (m×k).
   Matrix SolveLeastSquares(const Matrix& rhs) const;
 
-  std::size_t rows() const { return qr_.rows(); }
-  std::size_t cols() const { return qr_.cols(); }
+  /// Shape of the factored A (m×n). The storage is transposed (n×m, one
+  /// contiguous row per column of A), so these are qrt_'s cols and rows.
+  std::size_t rows() const { return qrt_.cols(); }
+  std::size_t cols() const { return qrt_.rows(); }
 
  private:
   QrFactorization() = default;
-  Matrix qr_;                // R in upper triangle, reflectors below
+  // Row c holds column c of the packed factor: R(0..c, c) in entries 0..c,
+  // reflector c's tail below the diagonal in entries c+1..m-1.
+  Matrix qrt_;
   std::vector<double> tau_;  // reflector scales
 };
 
@@ -65,8 +70,12 @@ Result<Matrix> SolveLinear(const Matrix& a, const Matrix& b);
 Result<Matrix> SolveLinearRight(const Matrix& a, const Matrix& b);
 
 /// Least squares for any shape of A:
-///  m ≥ n → QR minimizer; m < n → minimum-norm solution of the
-/// underdetermined system (via QR of Aᵀ). kUnsolvable on rank deficiency.
+///  m ≥ n → Householder-QR minimizer;
+///  m < n → minimum-norm solution x = Aᵀ·(A·Aᵀ)⁻¹·b of the underdetermined
+///  system. It forms the Gram matrix A·Aᵀ and LU-solves it, which squares
+///  A's condition number (QR of Aᵀ would not) — the price of MILR's
+///  per-filter whole-layer fallback being cheap.
+/// kUnsolvable on rank deficiency.
 Result<Matrix> SolveLeastSquares(const Matrix& a, const Matrix& b);
 
 /// Matrix inverse via LU. kUnsolvable on singular input.

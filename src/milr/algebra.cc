@@ -143,24 +143,29 @@ Result<Tensor> DenseSolveParams(const nn::DenseLayer& dense,
   if (!use_real_pair && dummy_rows == n) {
     // Fast exact path: the dummy-row matrix A is orthogonal (DCT basis with
     // column sign flips), so W = Aᵀ·Y — no factorization needed, and the
-    // conditioning is perfect. Parallel over output rows, double
-    // accumulation.
+    // conditioning is perfect. Parallel over blocks of output rows: each
+    // regenerates its columns of A and computes its rows of W, transposed,
+    // as Yᵀ·A — every entry sums A[r][c]·Y[r][j] over r ascending in double.
     const std::vector<float> signs = DenseDummyColumnSigns(n, row_seed);
+    const Matrix yt = TensorToMatrix(dummy_outputs, n, p).Transposed();
     Tensor w(Shape{n, p});
-    ParallelFor(0, n, [&](std::size_t c) {
-      std::vector<double> acc(p, 0.0);
+    constexpr std::size_t kBlock = 16;
+    ParallelFor(0, (n + kBlock - 1) / kBlock, [&](std::size_t blk) {
+      const std::size_t c0 = blk * kBlock;
+      const std::size_t cols = std::min(kBlock, n - c0);
+      Matrix a(n, cols);
       for (std::size_t r = 0; r < n; ++r) {
-        const double a = DenseDummyRowEntry(r, c, n, signs[c]);
-        const float* yrow = dummy_outputs.data() + r * p;
-        for (std::size_t j = 0; j < p; ++j) {
-          acc[j] += a * static_cast<double>(yrow[j]);
+        for (std::size_t i = 0; i < cols; ++i) {
+          a.at(r, i) = DenseDummyRowEntry(r, c0 + i, n, signs[c0 + i]);
         }
       }
-      float* wrow = w.data() + c * p;
-      for (std::size_t j = 0; j < p; ++j) {
-        wrow[j] = static_cast<float>(acc[j]);
+      const Matrix wt = MatMul(yt, a);
+      for (std::size_t i = 0; i < cols; ++i) {
+        for (std::size_t j = 0; j < p; ++j) {
+          w[(c0 + i) * p + j] = static_cast<float>(wt.at(j, i));
+        }
       }
-    }, /*grain=*/8);
+    });
     return w;
   }
   const std::size_t rows = (use_real_pair ? 1 : 0) + dummy_rows;
@@ -311,14 +316,23 @@ Result<Tensor> ConvSolveParamsPartial(
       }
       rhs.at(pix, 0) = acc;
     }
-    Matrix a(g * g, suspects.size());
-    for (std::size_t pix = 0; pix < g * g; ++pix) {
-      for (std::size_t s = 0; s < suspects.size(); ++s) {
-        a.at(pix, s) = patches.at(pix, suspects[s]);
+    // The suspects' patch columns; when every weight of the filter is
+    // suspect (whole-layer corruption) that is the patch matrix itself.
+    bool every_weight = suspects.size() == unknowns;
+    for (std::size_t s = 0; every_weight && s < suspects.size(); ++s) {
+      every_weight = suspects[s] == s;
+    }
+    Matrix gathered;
+    if (!every_weight) {
+      gathered = Matrix(g * g, suspects.size());
+      for (std::size_t pix = 0; pix < g * g; ++pix) {
+        for (std::size_t s = 0; s < suspects.size(); ++s) {
+          gathered.at(pix, s) = patches.at(pix, suspects[s]);
+        }
       }
     }
     if (suspects.size() > g * g) ++fs.least_squares_filters;
-    auto solved = SolveLeastSquares(a, rhs);
+    auto solved = SolveLeastSquares(every_weight ? patches : gathered, rhs);
     if (!solved.ok()) {
       ++fs.unsolved_filters;
       failures[k] = solved.status();

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
+#include <vector>
+
 #include "linalg/matrix.h"
 #include "linalg/solve.h"
+#include "linalg_reference.h"
 #include "support/prng.h"
 
 namespace milr {
@@ -159,6 +164,166 @@ TEST(LuFactorizationTest, ReusableAcrossRhs) {
     const Matrix x = RandomMatrix(6, 2, 80 + seed);
     const Matrix b = MatMul(a, x);
     EXPECT_LT(MaxAbsDiff(lu.value().Solve(b), x), 1e-8);
+  }
+}
+
+
+// ------------------------------------------------- bit-identity oracles
+//
+// The library kernels must reproduce the reference loops (linalg_reference.h)
+// bit for bit: MILR's recovered weights depend on every last bit.
+
+/// Uniform entries in [-1, 1), about a quarter of them exact ±0 — conv
+/// patch matrices are full of zeros and the reference loops skip zero
+/// factors.
+Matrix SparseRandomMatrix(std::size_t rows, std::size_t cols,
+                          std::uint64_t seed) {
+  Prng prng(seed);
+  Matrix m(rows, cols);
+  for (auto& v : m.flat()) {
+    const double u = prng.NextDouble();
+    if (u < 0.125) {
+      v = 0.0;
+    } else if (u < 0.25) {
+      v = -0.0;
+    } else {
+      v = prng.NextDouble() * 2.0 - 1.0;
+    }
+  }
+  return m;
+}
+
+::testing::AssertionResult SameBits(const Matrix& actual,
+                                    const Matrix& expected) {
+  if (actual.rows() != expected.rows() || actual.cols() != expected.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << actual.ShapeString() << " vs "
+           << expected.ShapeString();
+  }
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    if (std::memcmp(&actual.flat()[i], &expected.flat()[i], sizeof(double))) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << " of " << actual.ShapeString() << ": "
+             << actual.flat()[i] << " vs " << expected.flat()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Edge sizes and the tile remainders of the 4×8 GEMM tile, 4-row LU tile
+// and 16-wide LU panel.
+const std::vector<std::size_t> kEdgeSizes = {1, 2, 3, 4, 5, 7, 8, 9, 13, 17};
+
+TEST(OracleTest, MatMulMatchesReference) {
+  for (const std::size_t m : kEdgeSizes) {
+    for (const std::size_t k : {1, 2, 3, 5, 8, 33}) {
+      for (const std::size_t n : kEdgeSizes) {
+        const Matrix a = SparseRandomMatrix(m, k, m * 1000 + k);
+        const Matrix b = SparseRandomMatrix(k, n, n * 1000 + k + 1);
+        EXPECT_TRUE(SameBits(MatMul(a, b), reference::MatMulReference(a, b)))
+            << m << "x" << k << "x" << n;
+      }
+    }
+  }
+  // Large enough to run in parallel row blocks.
+  const Matrix a = SparseRandomMatrix(130, 97, 1);
+  const Matrix b = SparseRandomMatrix(97, 101, 2);
+  EXPECT_TRUE(SameBits(MatMul(a, b), reference::MatMulReference(a, b)));
+}
+
+TEST(OracleTest, GramAndTransposedMatMulMatchReference) {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (const std::size_t m : kEdgeSizes) {
+    for (const std::size_t k : {1, 2, 5, 9, 40}) shapes.emplace_back(m, k);
+  }
+  // The A·Aᵀ of the CNN's underdetermined per-filter conv solves.
+  for (const auto& shape : {std::pair<std::size_t, std::size_t>{256, 288},
+                           {256, 576}, {64, 576}, {64, 1152}}) {
+    shapes.push_back(shape);
+  }
+  for (const auto& [m, k] : shapes) {
+    const Matrix a = SparseRandomMatrix(m, k, m * 7 + k);
+    const Matrix at = a.Transposed();
+    EXPECT_TRUE(SameBits(Gram(a), reference::MatMulReference(a, at)))
+        << m << "x" << k;
+    const Matrix y = SparseRandomMatrix(m, 3, m + k);
+    EXPECT_TRUE(
+        SameBits(TransposedMatMul(a, y), reference::MatMulReference(at, y)))
+        << m << "x" << k;
+  }
+}
+
+TEST(OracleTest, LuMatchesReference) {
+  std::vector<std::size_t> sizes = kEdgeSizes;
+  for (const std::size_t n : {15, 16, 31, 32, 33, 64, 100, 256}) {
+    sizes.push_back(n);
+  }
+  for (const std::size_t n : sizes) {
+    const Matrix a = SparseRandomMatrix(n, n, 500 + n);
+    auto lu = LuFactorization::Compute(a);
+    auto expected = reference::LuFactorizationReference::Compute(a);
+    ASSERT_EQ(lu.ok(), expected.ok()) << n;
+    if (!lu.ok()) continue;
+    for (const std::size_t k : {1, 3, 8}) {
+      const Matrix rhs = SparseRandomMatrix(n, k, 600 + n + k);
+      EXPECT_TRUE(SameBits(lu.value().Solve(rhs), expected.value().Solve(rhs)))
+          << n << " rhs " << k;
+    }
+  }
+  // The Gram system an underdetermined conv solve factors.
+  const Matrix g = Gram(SparseRandomMatrix(256, 288, 7));
+  const Matrix rhs = SparseRandomMatrix(256, 1, 8);
+  EXPECT_TRUE(SameBits(SolveLinear(g, rhs).value(),
+                       reference::SolveLinearReference(g, rhs).value()));
+}
+
+TEST(OracleTest, QrMatchesReference) {
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> cases;
+  for (const std::size_t m : kEdgeSizes) {
+    for (const std::size_t n : {1, 2, 3, 5, 8}) {
+      if (n <= m) cases.emplace_back(m, n, 2);
+    }
+  }
+  // Whole-layer conv solves of the CNN: L0 (and L0 with its bias, 28), L3
+  // (and 289) with one right-hand side per filter.
+  cases.emplace_back(1024, 27, 32);
+  cases.emplace_back(1024, 28, 32);
+  cases.emplace_back(1024, 288, 32);
+  cases.emplace_back(1024, 289, 3);
+  for (const auto& [m, n, k] : cases) {
+    const Matrix a = SparseRandomMatrix(m, n, 900 + m + n);
+    auto qr = QrFactorization::Compute(a);
+    auto expected = reference::QrFactorizationReference::Compute(a);
+    ASSERT_EQ(qr.ok(), expected.ok()) << m << "x" << n;
+    if (!qr.ok()) continue;
+    EXPECT_EQ(qr.value().rows(), m);
+    EXPECT_EQ(qr.value().cols(), n);
+    for (const std::size_t rhs_cols : {std::size_t{1}, k}) {
+      const Matrix rhs = SparseRandomMatrix(m, rhs_cols, m + n + rhs_cols);
+      EXPECT_TRUE(SameBits(qr.value().SolveLeastSquares(rhs),
+                           expected.value().SolveLeastSquares(rhs)))
+          << m << "x" << n << " rhs " << rhs_cols;
+    }
+  }
+}
+
+TEST(OracleTest, LeastSquaresMatchesReference) {
+  // Underdetermined (Gram + LU + Aᵀ·) and overdetermined (QR) dispatch,
+  // including the CNN's per-filter whole-layer shapes.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 2}, {2, 3}, {3, 8}, {5, 9}, {9, 17}, {17, 9}, {8, 8},
+      {256, 288}, {256, 576}, {64, 576}, {64, 1152}};
+  for (const auto& [m, n] : shapes) {
+    const Matrix a = SparseRandomMatrix(m, n, 31 * m + n);
+    for (const std::size_t k : {1, 2}) {
+      const Matrix b = SparseRandomMatrix(m, k, m + n + k);
+      auto solved = SolveLeastSquares(a, b);
+      auto expected = reference::SolveLeastSquaresReference(a, b);
+      ASSERT_EQ(solved.ok(), expected.ok()) << m << "x" << n;
+      if (!solved.ok()) continue;
+      EXPECT_TRUE(SameBits(solved.value(), expected.value()))
+          << m << "x" << n << " rhs " << k;
+    }
   }
 }
 

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "linalg_reference.h"
 #include "milr/algebra.h"
 #include "support/bytes.h"
+#include "support/parallel.h"
 #include "support/prng.h"
 
 namespace milr::core {
@@ -301,6 +308,189 @@ TEST(BiasAlgebraTest, SolveIsBitExact) {
   for (std::size_t c = 0; c < 8; ++c) {
     EXPECT_EQ(FloatBits(solved[c]),
               FloatBits(y[c] - x[c]));
+  }
+}
+
+// ------------------------------------------------- bit-identity oracles
+//
+// The recovery solvers before the order-preserving linalg kernels, kept
+// verbatim: the library must return the same weights bit for bit.
+
+Result<Tensor> ConvSolveParamsPartialReference(
+    const nn::Conv2DLayer& conv, const Tensor& x, const Tensor& y,
+    const std::vector<std::size_t>& error_indices, PartialSolveStats* stats) {
+  const std::size_t g = conv.OutputExtent(x.shape()[0]);
+  const std::size_t unknowns = conv.PatchLength();
+  const std::size_t yc = conv.out_channels();
+  PartialSolveStats local;
+  local.suspected_weights = error_indices.size();
+
+  // Group suspects by filter: flat layout is (patch_pos u)*Y + k.
+  std::vector<std::vector<std::size_t>> per_filter(yc);
+  for (const std::size_t idx : error_indices) {
+    if (idx >= conv.filters().size()) {
+      return Status(StatusCode::kInvalidArgument,
+                    "ConvSolveParamsPartial: error index out of range");
+    }
+    per_filter[idx % yc].push_back(idx / yc);
+  }
+
+  const Matrix patches =
+      TensorToMatrix(conv.BuildPatchMatrix(x), g * g, unknowns);
+  Tensor repaired = conv.filters();
+
+  std::vector<Status> failures(yc, Status::Ok());
+  std::vector<PartialSolveStats> filter_stats(yc);
+
+  ParallelFor(0, yc, [&](std::size_t k) {
+    auto& suspects = per_filter[k];
+    if (suspects.empty()) return;
+    std::sort(suspects.begin(), suspects.end());
+    auto& fs = filter_stats[k];
+    // Residual: golden output column minus known-weight contributions.
+    Matrix rhs(g * g, 1);
+    for (std::size_t pix = 0; pix < g * g; ++pix) {
+      double acc = static_cast<double>(y[pix * yc + k]);
+      const double* prow = patches.row(pix);
+      std::size_t next = 0;
+      for (std::size_t u = 0; u < unknowns; ++u) {
+        if (next < suspects.size() && suspects[next] == u) {
+          ++next;  // unknown — excluded from the known contribution
+          continue;
+        }
+        acc -= prow[u] * static_cast<double>(repaired[u * yc + k]);
+      }
+      rhs.at(pix, 0) = acc;
+    }
+    Matrix a(g * g, suspects.size());
+    for (std::size_t pix = 0; pix < g * g; ++pix) {
+      for (std::size_t s = 0; s < suspects.size(); ++s) {
+        a.at(pix, s) = patches.at(pix, suspects[s]);
+      }
+    }
+    if (suspects.size() > g * g) ++fs.least_squares_filters;
+    auto solved = reference::SolveLeastSquaresReference(a, rhs);
+    if (!solved.ok()) {
+      ++fs.unsolved_filters;
+      failures[k] = solved.status();
+      return;
+    }
+    for (std::size_t s = 0; s < suspects.size(); ++s) {
+      repaired[suspects[s] * yc + k] =
+          static_cast<float>(solved.value().at(s, 0));
+      ++fs.solved_weights;
+    }
+  }, /*grain=*/1);
+
+  for (const auto& fs : filter_stats) {
+    local.solved_weights += fs.solved_weights;
+    local.least_squares_filters += fs.least_squares_filters;
+    local.unsolved_filters += fs.unsolved_filters;
+  }
+  if (stats != nullptr) *stats = local;
+  return repaired;
+}
+
+// DenseSolveParams' self-contained DCT path (dummy_rows == N).
+Tensor DenseSolveSelfContainedReference(std::size_t n, std::size_t p,
+                                         std::uint64_t row_seed,
+                                         const Tensor& dummy_outputs) {
+  const std::vector<float> signs = DenseDummyColumnSigns(n, row_seed);
+  Tensor w(Shape{n, p});
+  ParallelFor(0, n, [&](std::size_t c) {
+    std::vector<double> acc(p, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double a = DenseDummyRowEntry(r, c, n, signs[c]);
+      const float* yrow = dummy_outputs.data() + r * p;
+      for (std::size_t j = 0; j < p; ++j) {
+        acc[j] += a * static_cast<double>(yrow[j]);
+      }
+    }
+    float* wrow = w.data() + c * p;
+    for (std::size_t j = 0; j < p; ++j) {
+      wrow[j] = static_cast<float>(acc[j]);
+    }
+  }, /*grain=*/8);
+  return w;
+}
+
+::testing::AssertionResult SameBits(const Tensor& actual,
+                                    const Tensor& expected) {
+  if (actual.size() != expected.size()) {
+    return ::testing::AssertionFailure() << "size mismatch";
+  }
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    if (FloatBits(actual[i]) != FloatBits(expected[i])) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": " << actual[i] << " vs " << expected[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct PartialOracleCase {
+  const char* name;
+  std::size_t in_channels;
+  std::size_t suspects;  // per filter; F²Z = every weight
+};
+
+class ConvPartialOracle : public ::testing::TestWithParam<PartialOracleCase> {
+};
+
+TEST_P(ConvPartialOracle, MatchesReferenceBitwise) {
+  // The CNN's per-filter systems: G² = 256 (16×16, same padding) against
+  // F²Z = 288 (conv layer 7) or 576 (conv layer 10). Four filters keep the
+  // reference loops affordable; every filter is an independent system.
+  const PartialOracleCase& c = GetParam();
+  nn::Conv2DLayer conv(3, c.in_channels, 4, nn::Padding::kSame);
+  conv.filters() = RandomT(conv.filters().shape(), 40 + c.in_channels);
+  const Tensor x = RandomT(Shape{16, 16, c.in_channels}, 41);
+  const Tensor y = conv.Forward(x);
+  const std::size_t unknowns = conv.PatchLength();
+  Prng prng(42 + c.suspects);
+  std::vector<std::size_t> suspects;
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::vector<std::size_t> positions(unknowns);
+    for (std::size_t u = 0; u < unknowns; ++u) positions[u] = u;
+    for (std::size_t s = 0; s < c.suspects; ++s) {
+      std::swap(positions[s], positions[s + prng.NextBelow(unknowns - s)]);
+      suspects.push_back(positions[s] * 4 + k);
+    }
+  }
+  for (const std::size_t idx : suspects) conv.filters()[idx] = 0.25f;
+  PartialSolveStats stats, expected_stats;
+  auto solved = ConvSolveParamsPartial(conv, x, y, suspects, &stats);
+  auto expected =
+      ConvSolveParamsPartialReference(conv, x, y, suspects, &expected_stats);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(SameBits(solved.value(), expected.value()));
+  EXPECT_EQ(stats.solved_weights, expected_stats.solved_weights);
+  EXPECT_EQ(stats.least_squares_filters, expected_stats.least_squares_filters);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CnnShapes, ConvPartialOracle,
+    ::testing::Values(PartialOracleCase{"L7Whole", 32, 288},
+                      PartialOracleCase{"L10Whole", 64, 576},
+                      PartialOracleCase{"L10Underdetermined", 64, 300},
+                      PartialOracleCase{"L10Overdetermined", 64, 100}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(DenseSolveOracle, SelfContainedMatchesReferenceBitwise) {
+  // The CNN's dense layer 25 (2048→128) in self-contained mode, plus a
+  // small layer with partial row blocks.
+  for (const auto& [n, p] : {std::pair<std::size_t, std::size_t>{2048, 128},
+                             {37, 5}}) {
+    const std::uint64_t row_seed = 90 + n;
+    const Tensor outputs = RandomT(Shape{n, p}, 91 + n);
+    nn::DenseLayer dense(n, p);
+    auto solved = DenseSolveParams(dense, Tensor(Shape{n}), Tensor(Shape{p}),
+                                   n, row_seed, outputs);
+    ASSERT_TRUE(solved.ok());
+    EXPECT_TRUE(SameBits(solved.value(), DenseSolveSelfContainedReference(
+                                             n, p, row_seed, outputs)))
+        << n << "→" << p;
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "apps/networks.h"
 #include "memory/fault_injector.h"
 #include "milr/protector.h"
 #include "nn/init.h"
@@ -222,6 +225,42 @@ TEST(ProtectorTest, TinyLsbFlipMayEscapeDetectionButCrcSeesIt) {
   const auto& plan = protector.plan().layers[4];
   if (plan.solve == SolveMode::kConvPartial) {
     SUCCEED();  // CRC path covered in milr_algebra_test / crc2d_test
+  }
+}
+
+TEST(ProtectorTest, CifarSmallWholeLayerSplitIsPinned) {
+  // The serving benchmark's CNN: each parameterized layer corrupted whole
+  // and recovered alone. Exactly conv layers 7, 10, 14, 17 and 20 stay
+  // flagged — G² < F²Z there, so every filter's system is underdetermined
+  // (the paper's N/A* rows) — and the other 13 verify. Recovery is
+  // bit-reproducible (linalg/kernels.h), so a change in its rounding fails
+  // here instead of silently moving the benchmark's verified ratio.
+  for (const std::uint64_t seed : {1u, 2u}) {
+    nn::Model model = apps::BuildCifarSmallNetwork();
+    nn::InitHeUniform(model, seed);
+    MilrProtector protector(model, ExtendedMilrConfig());
+    const auto golden = model.SnapshotParams();
+    Prng prng(seed + 77);
+    std::vector<std::size_t> verified;
+    std::vector<std::size_t> residual;
+    for (std::size_t i = 0; i < model.LayerCount(); ++i) {
+      if (model.layer(i).Params().empty()) continue;
+      memory::CorruptWholeLayer(model, i, prng);
+      DetectionReport report;
+      report.flagged_layers = {i};
+      protector.Recover(report);
+      const auto after = protector.Detect();
+      if (after.any()) {
+        EXPECT_EQ(after.flagged_layers, std::vector<std::size_t>{i});
+        residual.push_back(i);
+      } else {
+        verified.push_back(i);
+      }
+      model.RestoreParams(golden);
+    }
+    EXPECT_EQ(residual, (std::vector<std::size_t>{7, 10, 14, 17, 20}))
+        << "seed " << seed;
+    EXPECT_EQ(verified.size(), 13u) << "seed " << seed;
   }
 }
 
