@@ -52,6 +52,7 @@
 #include "apps/networks.h"
 #include "data/synthetic.h"
 #include "memory/fault_injector.h"
+#include "mutex_queue_oracle.h"
 #include "obs/histogram.h"
 #include "nn/init.h"
 #include "nn/kernel_config.h"
@@ -738,13 +739,14 @@ std::vector<CoHostRow> RunCoHostSweep(
 //
 // The request queue in isolation: producers TryPush (retrying on full),
 // consumers TryPopBatch(8) — the exact hot-path shape the engine drives —
-// on a BoundedQueue<uint64_t>, run with an IDENTICAL driver for both
-// queue kinds. Reported as dequeued Mops/s per producers×consumers
-// point. The lockfree/mutex ratio at the most-contended point that FITS
-// the machine (producers+consumers <= hardware threads) is the
-// refactor's acceptance number: CI guards it at >= 1.0x, i.e. the
-// lock-free path must never be slower than the mutex oracle it replaced
-// under real contention. When no point fits (a 1-core runner), the guard
+// with u64 items, run with an IDENTICAL driver (RunQueueTrial, templated
+// on the queue type) for the lock-free BoundedQueue and the mutex oracle
+// of tests/mutex_queue_oracle.h. Reported as dequeued Mops/s per
+// producers×consumers point. The lockfree/mutex ratio at the
+// most-contended point that FITS the machine (producers+consumers <=
+// hardware threads) is the ring's acceptance number: CI guards it at
+// >= 1.0x, i.e. the lock-free path must never be slower than the mutex
+// oracle it replaced under real contention. When no point fits (a 1-core runner), the guard
 // field is omitted and the comparator skips the floor — oversubscribed
 // "contention" measures scheduler fairness, not the queue.
 
@@ -768,11 +770,10 @@ struct QueueBenchResult {
   double contended_ratio = 0.0;
 };
 
-double RunQueueTrial(milr::runtime::QueueKind kind, std::size_t producers,
-                     std::size_t consumers, std::size_t capacity,
-                     double seconds) {
-  using namespace milr::runtime;
-  BoundedQueue<std::uint64_t> queue(capacity, kind);
+template <typename Queue>
+double RunQueueTrial(std::size_t producers, std::size_t consumers,
+                     std::size_t capacity, double seconds) {
+  Queue queue(capacity);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> dequeued{0};
   std::vector<std::thread> threads;
@@ -821,7 +822,8 @@ double RunQueueTrial(milr::runtime::QueueKind kind, std::size_t producers,
 }
 
 QueueBenchResult RunQueueSweep(bool smoke) {
-  using milr::runtime::QueueKind;
+  using LockfreeQueue = milr::runtime::BoundedQueue<std::uint64_t>;
+  using MutexQueue = milr::reference::MutexQueueOracle<std::uint64_t>;
   QueueBenchResult result;
   result.capacity = 1024;
   result.hw_threads = std::thread::hardware_concurrency();
@@ -839,17 +841,17 @@ QueueBenchResult RunQueueSweep(bool smoke) {
     QueueSweepRow row;
     row.producers = point.first;
     row.consumers = point.second;
-    // Best-of-three per kind, interleaved mutex/lockfree so thermal or
-    // scheduler drift across the sweep hits both kinds alike.
+    // Best-of-three per queue, interleaved mutex/lockfree so thermal or
+    // scheduler drift across the sweep hits both alike.
     for (int pass = 0; pass < 3; ++pass) {
       row.mutex_mops = std::max(
-          row.mutex_mops, RunQueueTrial(QueueKind::kMutex, row.producers,
-                                        row.consumers, result.capacity,
-                                        seconds));
+          row.mutex_mops,
+          RunQueueTrial<MutexQueue>(row.producers, row.consumers,
+                                    result.capacity, seconds));
       row.lockfree_mops = std::max(
           row.lockfree_mops,
-          RunQueueTrial(QueueKind::kLockfree, row.producers, row.consumers,
-                        result.capacity, seconds));
+          RunQueueTrial<LockfreeQueue>(row.producers, row.consumers,
+                                       result.capacity, seconds));
     }
     const double ratio =
         row.mutex_mops > 0.0 ? row.lockfree_mops / row.mutex_mops : 0.0;

@@ -5,7 +5,7 @@
 // bounded queue + Metrics) on a private WorkerPool, with the host's
 // background Scrubber doing online detect/quarantine/recover. The moving
 // parts and the locking discipline are documented in model_runtime.h,
-// worker_pool.h and serving_host.h; the shape is unchanged from PR 1:
+// worker_pool.h and serving_host.h; the request path:
 //
 //   clients ──Submit──▶ BoundedQueue ──▶ worker pool ──PredictBatch──▶ futures
 //                          (micro-batch: drain ≤ max_batch) │ shared lock
@@ -29,6 +29,11 @@
 // rate-derived quantities (throughput, availability) reset.
 // Co-hosting several models on one shared pool is ServingHost's job —
 // new code should prefer it; this facade keeps the one-model API stable.
+//
+// Configuration: EngineConfig is ServingHostConfig and ModelRuntimeConfig
+// composed by inheritance, so each knob is declared and documented once,
+// where it takes effect, and the constructor hands each base slice to its
+// owner.
 #pragma once
 
 #include <chrono>
@@ -45,71 +50,12 @@
 
 namespace milr::runtime {
 
-struct EngineConfig {
-  /// Size of the worker pool. When workers >= hardware cores the engine
-  /// pins each worker's nested ParallelFor (inside PredictBatch) to serial
-  /// execution, so the pool itself is the only parallelism; with fewer
-  /// workers than cores, batched layers fan out internally instead.
-  std::size_t worker_threads = DefaultWorkerThreads();
-  std::size_t queue_capacity = 256;
-  /// Which BoundedQueue implementation backs admission (request_queue.h):
-  /// the lock-free MPMC ring by default, the mutex oracle via
-  /// MILR_QUEUE=mutex or an explicit override here. Serving results are
-  /// bit-identical across kinds; only contention behavior differs.
-  QueueKind queue_kind = DefaultQueueKind();
-  /// Dynamic micro-batching: a worker drains up to `max_batch` queued
-  /// requests and serves them with one PredictBatch under a single
-  /// shared-lock acquisition. 1 disables batching entirely.
-  std::size_t max_batch = 8;
-  /// How long a worker holding a partial batch waits for more arrivals
-  /// before serving what it has. 0 (the default) is pure opportunistic
-  /// batching: batches form only from backlog and an idle queue serves
-  /// single requests immediately. Raise it to trade a bounded latency
-  /// slice for fuller batches under bursty load.
-  std::chrono::microseconds batch_linger{0};
-  bool scrubber_enabled = true;
-  std::chrono::milliseconds scrub_period{50};
-  /// Latency SLO in milliseconds; <= 0 (default) declares no objective.
-  /// With one set, Snapshot() reports goodput and fast/slow burn rates
-  /// (see ModelRuntimeConfig::slo_ms).
-  double slo_ms = 0.0;
-  /// Target within-SLO fraction (error budget = 1 - slo_target).
-  double slo_target = 0.999;
-  /// Validation-only sorted-sample oracle alongside the lock-free latency
-  /// histogram (see ModelRuntimeConfig::latency_oracle). Default off.
-  bool latency_oracle = false;
-  /// Incident-journal auto-trace directory (see
-  /// ServingHostConfig::incident_trace_dir). Empty disables capture.
-  std::string incident_trace_dir;
-  /// GEMM tier for the serving path. kExact keeps served outputs
-  /// bit-identical to the reference kernels — the fault-injection
-  /// experiments and equivalence oracles assume it. kFast serves from the
-  /// packed k-blocked SIMD kernels (tolerance-equivalent outputs). kInt8
-  /// serves dense layers from a quantized int8 weight replica
-  /// (quantization-tolerance outputs; the pick for weight sets larger
-  /// than L2, see nn/kernel_config.h). MILR detection/recovery are
-  /// unaffected in every case because the protector's passes always run
-  /// the exact per-sample kernels, and the fast/int8 weight caches are
-  /// rebuilt from the fp32 master after every recovery or injection.
-  ///
-  /// The engine applies this to the caller-owned model at construction and
-  /// does NOT restore the previous value: the model keeps serving this
-  /// tier even after the engine stops. Callers that use the model directly
-  /// afterwards and need a different tier must call
-  /// Model::set_kernel_config themselves.
-  nn::KernelConfig kernel = nn::KernelConfig::kExact;
-  /// Kernel-registry autotune budget override in ms per GEMM shape; < 0
-  /// (default) keeps the registry's own budget, 0 pins the deterministic
-  /// heuristic plans (see ModelRuntimeConfig::autotune_budget_ms).
-  double autotune_budget_ms = -1.0;
-  /// Opt-in int8 activation-scale caching (default off; see
-  /// ModelRuntimeConfig::activation_scale_cache).
-  bool activation_scale_cache = false;
-  /// Protection preset for the embedded MilrProtector. The extended preset
-  /// matters here: its detection tolerance keeps a layer recovered online
-  /// (float-rounding residue) from being re-flagged every cycle.
-  core::MilrConfig milr = core::ExtendedMilrConfig();
-};
+/// The single-model configuration is the host's knobs plus the model's,
+/// composed rather than mirrored: every field of ServingHostConfig (pool
+/// size, scrubber, incident traces) and of ModelRuntimeConfig (queue,
+/// batching, kernel tier, SLO, protection preset) is set directly on an
+/// EngineConfig, and the engine hands the matching slice to each.
+struct EngineConfig : ServingHostConfig, ModelRuntimeConfig {};
 
 class InferenceEngine {
  public:

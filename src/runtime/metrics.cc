@@ -64,10 +64,6 @@ std::string MetricsSnapshot::ToJson() const {
   AppendField(out, "availability", availability);
   AppendField(out, "recovery_downtime_seconds", recovery_downtime_seconds);
   AppendField(out, "mttr_seconds", mttr_seconds);
-  // The percentile block carries its own honesty marker: true when these
-  // values are the request-weighted fallback (a merge over parts without
-  // histogram buckets) rather than percentiles of one distribution.
-  AppendField(out, "approx_percentiles", approx_percentiles);
   AppendField(out, "latency_mean_ms", latency_mean_ms);
   AppendField(out, "latency_p50_ms", latency_p50_ms);
   AppendField(out, "latency_p99_ms", latency_p99_ms);
@@ -329,21 +325,7 @@ MetricsSnapshot AggregateSnapshots(
     const std::vector<MetricsSnapshot>& parts) {
   MetricsSnapshot agg;
   if (parts.empty()) return agg;
-  // Exact merge is possible when every traffic-bearing part carries its
-  // histogram buckets (always true for snapshots taken from a live
-  // Metrics); hand-built or deserialized snapshots without buckets force
-  // the request-weighted fallback below.
-  bool exact = true;
-  for (const auto& p : parts) {
-    if (p.requests_served > 0 &&
-        (p.latency_hist.empty() && p.queue_wait_hist.empty())) {
-      exact = false;
-      break;
-    }
-  }
   double availability_sum = 0.0;
-  double latency_mean_w = 0.0, latency_p50_w = 0.0, latency_p99_w = 0.0;
-  double wait_mean_w = 0.0, wait_p50_w = 0.0, wait_p99_w = 0.0;
   std::uint64_t batch_samples = 0;
   double batch_service_ms = 0.0;
   bool slo_enabled = false;
@@ -367,13 +349,6 @@ MetricsSnapshot AggregateSnapshots(
     agg.downtime_seconds += p.downtime_seconds;
     agg.recovery_downtime_seconds += p.recovery_downtime_seconds;
     availability_sum += p.availability;
-    const double w = static_cast<double>(p.requests_served);
-    latency_mean_w += w * p.latency_mean_ms;
-    latency_p50_w += w * p.latency_p50_ms;
-    latency_p99_w += w * p.latency_p99_ms;
-    wait_mean_w += w * p.queue_wait_mean_ms;
-    wait_p50_w += w * p.queue_wait_p50_ms;
-    wait_p99_w += w * p.queue_wait_p99_ms;
     agg.throughput_rps += p.throughput_rps;
     agg.latency_hist.Merge(p.latency_hist);
     agg.queue_wait_hist.Merge(p.queue_wait_hist);
@@ -415,35 +390,17 @@ MetricsSnapshot AggregateSnapshots(
                                         static_cast<double>(slo_total)
                                   : 1.0;
   agg.slo.fast_burn_alert = agg.slo.fast_burn_rate >= 1.0;
-  if (exact) {
-    // The merged buckets ARE the union distribution: percentiles of the
-    // whole host, exact to the shared bucket error bound.
-    if (!agg.latency_hist.empty()) {
-      agg.latency_mean_ms = agg.latency_hist.MeanMillis();
-      agg.latency_p50_ms = agg.latency_hist.QuantileMillis(0.5);
-      agg.latency_p99_ms = agg.latency_hist.QuantileMillis(0.99);
-    }
-    if (!agg.queue_wait_hist.empty()) {
-      agg.queue_wait_mean_ms = agg.queue_wait_hist.MeanMillis();
-      agg.queue_wait_p50_ms = agg.queue_wait_hist.QuantileMillis(0.5);
-      agg.queue_wait_p99_ms = agg.queue_wait_hist.QuantileMillis(0.99);
-    }
-    agg.approx_percentiles = false;
-  } else {
-    if (agg.requests_served > 0) {
-      const double total = static_cast<double>(agg.requests_served);
-      agg.latency_mean_ms = latency_mean_w / total;
-      agg.latency_p50_ms = latency_p50_w / total;
-      agg.latency_p99_ms = latency_p99_w / total;
-      agg.queue_wait_mean_ms = wait_mean_w / total;
-      agg.queue_wait_p50_ms = wait_p50_w / total;
-      agg.queue_wait_p99_ms = wait_p99_w / total;
-    }
-    // A single bucketless part's percentiles pass through exactly; only
-    // a true merge degrades to the request-weighted approximation.
-    agg.approx_percentiles =
-        parts.size() > 1 ||
-        (parts.size() == 1 && parts.front().approx_percentiles);
+  // The merged buckets ARE the union distribution: percentiles of the
+  // whole host, exact to the shared bucket error bound.
+  if (!agg.latency_hist.empty()) {
+    agg.latency_mean_ms = agg.latency_hist.MeanMillis();
+    agg.latency_p50_ms = agg.latency_hist.QuantileMillis(0.5);
+    agg.latency_p99_ms = agg.latency_hist.QuantileMillis(0.99);
+  }
+  if (!agg.queue_wait_hist.empty()) {
+    agg.queue_wait_mean_ms = agg.queue_wait_hist.MeanMillis();
+    agg.queue_wait_p50_ms = agg.queue_wait_hist.QuantileMillis(0.5);
+    agg.queue_wait_p99_ms = agg.queue_wait_hist.QuantileMillis(0.99);
   }
   if (agg.batches_served > 0) {
     agg.batch_size_mean = static_cast<double>(batch_samples) /

@@ -82,9 +82,7 @@ struct MetricsSnapshot {
 
   /// The raw bucket counts behind the percentiles above. Carried on the
   /// snapshot so AggregateSnapshots can merge them EXACTLY (bucket-wise
-  /// sum) instead of request-weighting the derived percentiles. Empty on
-  /// hand-built or legacy snapshots — the aggregate then falls back to
-  /// the weighted approximation and says so.
+  /// sum); percentiles alone cannot be merged.
   obs::HistogramSnapshot latency_hist;
   obs::HistogramSnapshot queue_wait_hist;
 
@@ -107,13 +105,6 @@ struct MetricsSnapshot {
   std::uint64_t queue_depth = 0;       // requests waiting right now
   std::uint64_t in_flight_batches = 0; // workers inside ServeSome right now
 
-  /// True only when the latency/queue-wait percentiles are the
-  /// request-weighted fallback (a merge over parts that carried no
-  /// histogram buckets). Exact bucket-wise merges — the normal case since
-  /// snapshots carry their histograms — keep this false; the JSON carries
-  /// it as "approx_percentiles" for dashboard compatibility.
-  bool approx_percentiles = false;
-
   /// Flat JSON object with every field above, for dashboards and logs.
   std::string ToJson() const;
 };
@@ -121,14 +112,11 @@ struct MetricsSnapshot {
 /// Folds per-model snapshots into one host-level view: counters, downtime
 /// and histograms sum; uptime is the max (the runtimes share one wall
 /// clock); availability is the per-model mean; MTTR re-derives from the
-/// summed recovery downtime. Latency/queue-wait percentiles are EXACT when
-/// every traffic-bearing part carries its histogram buckets (the merge is
-/// a bucket-wise sum and the percentiles recompute from the merged
-/// distribution); parts without buckets degrade the merge to the old
-/// request-weighted approximation, flagged by approx_percentiles. SLO
-/// counters sum (goodput recomputes exactly); burn rates and the latency
-/// objective report the worst (max) across parts — the alerting-relevant
-/// rollup.
+/// summed recovery downtime. Latency/queue-wait percentiles are exact: the
+/// histogram buckets every snapshot carries merge bucket-wise and the
+/// percentiles recompute from the merged distribution. SLO counters sum
+/// (goodput recomputes exactly); burn rates and the latency objective
+/// report the worst (max) across parts — the alerting-relevant rollup.
 MetricsSnapshot AggregateSnapshots(const std::vector<MetricsSnapshot>& parts);
 
 /// Thread-safe registry shared by the engine, scrubber and fault drive.

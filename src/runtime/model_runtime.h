@@ -45,44 +45,48 @@ namespace milr::runtime {
 class Scheduler;
 
 /// Per-model serving knobs. The worker pool and scrub period are host-wide
-/// (ServingHostConfig); everything request-path lives here.
+/// (ServingHostConfig); everything request-path lives here. The
+/// single-model EngineConfig inherits both structs, so each field is
+/// declared and documented once, here or there.
 struct ModelRuntimeConfig {
+  /// Bound of the model's admission queue (request_queue.h): Submit
+  /// blocks and TrySubmit sheds once this many requests wait.
   std::size_t queue_capacity = 256;
-  /// Which BoundedQueue implementation backs this model's admission queue
-  /// (see request_queue.h): the lock-free MPMC ring by default, or the
-  /// mutex oracle via MILR_QUEUE=mutex / an explicit override here. Both
-  /// satisfy the same contract; serving results are bit-identical.
-  QueueKind queue_kind = DefaultQueueKind();
   /// Dynamic micro-batching: a worker drains up to `max_batch` queued
   /// requests and serves them with one PredictBatch under a single
   /// shared-lock acquisition. 1 disables batching entirely.
   std::size_t max_batch = 8;
   /// How long a worker holding a partial batch waits for more arrivals
-  /// before serving what it has (see EngineConfig::batch_linger). The
-  /// shared pool is scheduler-aware about it: when any co-hosted peer has
-  /// backlog AT GRANT TIME the worker skips the linger entirely and
-  /// serves the partial batch at once. That closes the standing
-  /// cross-model tax a non-zero linger used to impose, but it is a
-  /// grant-time sample, not a continuous one: a peer request arriving
-  /// mid-linger still waits out the remainder of the window (bounded by
-  /// this value) before that worker frees up. Size it with that worst
-  /// case in mind on small pools.
+  /// before serving what it has. 0 (the default) is pure opportunistic
+  /// batching: batches form only from backlog and an idle queue serves
+  /// single requests immediately. Raise it to trade a bounded latency
+  /// slice for fuller batches under bursty load. The shared pool is
+  /// scheduler-aware about it: when any co-hosted peer has backlog AT
+  /// GRANT TIME the worker skips the linger entirely and serves the
+  /// partial batch at once. That closes the standing cross-model tax a
+  /// non-zero linger used to impose, but it is a grant-time sample, not a
+  /// continuous one: a peer request arriving mid-linger still waits out
+  /// the remainder of the window (bounded by this value) before that
+  /// worker frees up. Size it with that worst case in mind on small pools.
   std::chrono::microseconds batch_linger{0};
-  /// GEMM tier for this model's serving path (see EngineConfig::kernel).
-  /// Applied to the caller-owned model at runtime construction and not
-  /// restored afterwards.
+  /// GEMM tier for the serving path. kExact keeps served outputs
+  /// bit-identical to the reference kernels — the fault-injection
+  /// experiments and equivalence oracles assume it. kFast serves from the
+  /// packed k-blocked SIMD kernels (tolerance-equivalent outputs). kInt8
+  /// serves dense and conv layers from a quantized int8 weight replica
+  /// (quantization-tolerance outputs; the pick for weight sets larger
+  /// than L2, see nn/kernel_config.h). MILR detection/recovery are
+  /// unaffected in every case because the protector's passes always run
+  /// the exact per-sample kernels, and the fast/int8 weight caches are
+  /// rebuilt from the fp32 master after every recovery or injection.
+  ///
+  /// Applied to the caller-owned model at runtime construction and NOT
+  /// restored afterwards: the model keeps serving this tier after the
+  /// runtime stops. Callers that use the model directly afterwards and
+  /// need a different tier must call Model::set_kernel_config
+  /// themselves. The kernel-registry autotune budget is process-wide, not
+  /// per model (MILR_AUTOTUNE_MS; see nn/kernel_registry.h).
   nn::KernelConfig kernel = nn::KernelConfig::kExact;
-  /// Kernel-registry autotune budget override, per GEMM shape, in
-  /// milliseconds. Negative (default) leaves the registry's budget alone
-  /// (MILR_AUTOTUNE_MS or the built-in default); >= 0 sets it process-wide
-  /// before the model's layers fetch their plans — 0 pins the
-  /// deterministic heuristic plans. The registry is shared, so the last
-  /// runtime constructed with an override wins.
-  double autotune_budget_ms = -1.0;
-  /// Opt-in int8 activation-scale caching (Model /
-  /// DenseLayer::set_activation_scale_caching). Default off: the int8
-  /// tier's bit-stability contract only covers the default.
-  bool activation_scale_cache = false;
   /// Latency SLO for this model, in milliseconds; <= 0 (default) declares
   /// no objective and disables SLO tracking. With an objective set,
   /// Metrics tracks goodput (requests within the objective) and SRE-style
@@ -97,13 +101,15 @@ struct ModelRuntimeConfig {
   /// latency_oracle_p99_ms (see Metrics::EnableLatencyOracle). Default
   /// off — on, RecordLatency takes a lock again.
   bool latency_oracle = false;
-  /// Protection preset for the embedded MilrProtector.
+  /// Protection preset for the embedded MilrProtector. The extended preset
+  /// matters here: its detection tolerance keeps a layer recovered online
+  /// (float-rounding residue) from being re-flagged every cycle.
   core::MilrConfig milr = core::ExtendedMilrConfig();
   /// Deficit-round-robin share of the shared worker pool relative to its
   /// co-hosted peers: a weight-2 model earns serving credit twice as fast
   /// as a weight-1 model when both have backlog. Idle models accrue
   /// nothing, so weights only matter under contention. Clamped to a small
-  /// positive floor.
+  /// positive floor. Has no effect with a single model (InferenceEngine).
   double weight = 1.0;
 };
 

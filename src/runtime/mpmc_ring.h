@@ -20,7 +20,7 @@
 // own cache lines so producers and consumers don't false-share.
 //
 // This type is intentionally dumb: no close/reopen, no blocking, no depth
-// — TryEnqueue/TryDequeue only. LockfreeQueue (request_queue.h) layers
+// — TryEnqueue/TryDequeue only. BoundedQueue (request_queue.h) layers
 // admission control, backpressure parking, and lifecycle on top.
 #pragma once
 
@@ -108,7 +108,7 @@ class MpmcRing {
 
   /// Claims the oldest full slot, moves its value into `out`, runs
   /// `before_free` BETWEEN the move and the slot's release back to
-  /// producers, then frees the slot. The hook is how LockfreeQueue keeps
+  /// producers, then frees the slot. The hook is how BoundedQueue keeps
   /// its depth counter decrement-before-free: the logical count drops
   /// while the physical slot is still unavailable, so a depth-admitted
   /// producer can never find MORE than `capacity` slots claimed.

@@ -487,7 +487,7 @@ TEST(MetricsTest, JsonSnapshotCarriesEveryCounter) {
         "recoveries", "layers_recovered", "failed_recoveries",
         "faults_injected", "corrupted_weights", "uptime_seconds",
         "downtime_seconds", "availability", "recovery_downtime_seconds",
-        "mttr_seconds", "approx_percentiles", "latency_mean_ms",
+        "mttr_seconds", "latency_mean_ms",
         "latency_p50_ms", "latency_p99_ms", "queue_wait_p50_ms",
         "queue_wait_p99_ms", "throughput_rps", "slo_enabled",
         "slo_objective_ms", "slo_target", "slo_within", "slo_violations",
@@ -592,75 +592,65 @@ TEST(MetricsTest, ZeroLayerRecoveryIsIgnored) {
 }
 
 // --------------------------------------------------- AggregateSnapshots
-// Pins the documented aggregation math, including the request-weighted
-// percentile approximation and its "approx_percentiles" honesty marker.
+// Pins the documented aggregation math on snapshots of live Metrics — the
+// only kind a host aggregates, each carrying its histogram buckets.
 
-TEST(MetricsTest, AggregateSnapshotsEmptyIsZeroAndExact) {
+TEST(MetricsTest, AggregateSnapshotsEmptyIsZero) {
   const auto agg = AggregateSnapshots({});
   EXPECT_EQ(agg.requests_served, 0u);
   EXPECT_DOUBLE_EQ(agg.latency_p99_ms, 0.0);
   EXPECT_DOUBLE_EQ(agg.availability, 1.0);
-  EXPECT_FALSE(agg.approx_percentiles)
-      << "an empty aggregate approximates nothing";
 }
 
 TEST(MetricsTest, AggregateSnapshotsSinglePartPassesThroughExactly) {
-  MetricsSnapshot one;
-  one.requests_served = 10;
-  one.latency_p50_ms = 2.5;
-  one.latency_p99_ms = 7.5;
-  one.queue_wait_p99_ms = 1.25;
-  one.availability = 0.875;
+  Metrics metrics;
+  for (int i = 0; i < 9; ++i) metrics.RecordLatency(2.5);
+  metrics.RecordLatency(7.5);
+  metrics.RecordQueueWait(1.25);
+  metrics.RecordGrant();
+  MetricsSnapshot one = metrics.Snapshot();
+  // Live gauges are stamped by ModelRuntime::Snapshot; set them here.
   one.queue_depth = 3;
   one.in_flight_batches = 2;
-  one.scheduler_grants = 11;
   const auto agg = AggregateSnapshots({one});
-  EXPECT_DOUBLE_EQ(agg.latency_p50_ms, 2.5);
-  EXPECT_DOUBLE_EQ(agg.latency_p99_ms, 7.5);
-  EXPECT_DOUBLE_EQ(agg.queue_wait_p99_ms, 1.25);
-  EXPECT_DOUBLE_EQ(agg.availability, 0.875);
+  EXPECT_EQ(agg.requests_served, 10u);
+  EXPECT_DOUBLE_EQ(agg.latency_mean_ms, one.latency_mean_ms);
+  EXPECT_DOUBLE_EQ(agg.latency_p50_ms, one.latency_p50_ms);
+  EXPECT_DOUBLE_EQ(agg.latency_p99_ms, one.latency_p99_ms);
+  EXPECT_DOUBLE_EQ(agg.queue_wait_p99_ms, one.queue_wait_p99_ms);
+  EXPECT_DOUBLE_EQ(agg.availability, one.availability);
   EXPECT_EQ(agg.queue_depth, 3u);
   EXPECT_EQ(agg.in_flight_batches, 2u);
-  EXPECT_EQ(agg.scheduler_grants, 11u);
-  EXPECT_FALSE(agg.approx_percentiles)
-      << "one part's percentiles are exact, not approximated";
+  EXPECT_EQ(agg.scheduler_grants, 1u);
 }
 
-TEST(MetricsTest, AggregateSnapshotsSkewedTrafficWeightsByRequests) {
-  MetricsSnapshot hot;
-  hot.requests_served = 900;
-  hot.latency_p99_ms = 10.0;
-  hot.queue_wait_p99_ms = 2.0;
-  hot.availability = 1.0;
-  hot.throughput_rps = 90.0;
-  hot.queue_depth = 5;
-  MetricsSnapshot cold;
-  cold.requests_served = 100;
-  cold.latency_p99_ms = 110.0;
-  cold.queue_wait_p99_ms = 42.0;
-  cold.availability = 0.5;
-  cold.throughput_rps = 10.0;
-  cold.queue_depth = 1;
+TEST(MetricsTest, AggregateSnapshotsSumsCountersAndAveragesAvailability) {
+  Metrics hot;
+  Metrics cold;
+  for (int i = 0; i < 900; ++i) hot.RecordLatency(10.0);
+  for (int i = 0; i < 100; ++i) cold.RecordLatency(110.0);
+  MetricsSnapshot hot_snap = hot.Snapshot();
+  MetricsSnapshot cold_snap = cold.Snapshot();
+  // Availability and throughput are wall-clock rates; pin them so the
+  // rollup math is checked exactly.
+  hot_snap.availability = 1.0;
+  hot_snap.throughput_rps = 90.0;
+  hot_snap.queue_depth = 5;
+  cold_snap.availability = 0.5;
+  cold_snap.throughput_rps = 10.0;
+  cold_snap.queue_depth = 1;
 
-  const auto agg = AggregateSnapshots({hot, cold});
+  const auto agg = AggregateSnapshots({hot_snap, cold_snap});
   EXPECT_EQ(agg.requests_served, 1000u);
-  // Request-weighted: (900*10 + 100*110) / 1000 — the hot model dominates.
-  EXPECT_NEAR(agg.latency_p99_ms, 20.0, 1e-9);
-  EXPECT_NEAR(agg.queue_wait_p99_ms, 6.0, 1e-9);
   // Availability is the per-model mean (each model is its own SLO).
   EXPECT_NEAR(agg.availability, 0.75, 1e-12);
   EXPECT_NEAR(agg.throughput_rps, 100.0, 1e-9);
   EXPECT_EQ(agg.queue_depth, 6u);  // gauges sum across models
-  EXPECT_TRUE(agg.approx_percentiles);
-  EXPECT_NE(agg.ToJson().find("\"approx_percentiles\": true"),
-            std::string::npos)
-      << "the approximation caveat must be visible in the JSON itself";
 }
 
 // Live snapshots carry histogram buckets, so a multi-model aggregate merges
 // them bucket-wise and recomputes percentiles EXACTLY (to within the bucket
-// bound) instead of request-weighting per-model percentiles. The honesty
-// marker must read false on this path.
+// bound) instead of request-weighting per-model percentiles.
 TEST(MetricsTest, AggregateSnapshotsMergesHistogramsExactly) {
   Metrics hot;
   Metrics cold;
@@ -672,15 +662,11 @@ TEST(MetricsTest, AggregateSnapshotsMergesHistogramsExactly) {
 
   const auto agg = AggregateSnapshots({hot.Snapshot(), cold.Snapshot()});
   EXPECT_EQ(agg.requests_served, 1000u);
-  EXPECT_FALSE(agg.approx_percentiles)
-      << "merged histograms are exact, not request-weighted";
   constexpr double kBound = obs::LatencyHistogram::kMaxRelativeError;
   EXPECT_NEAR(agg.latency_p50_ms, 2.0, 2.0 * kBound);
   EXPECT_NEAR(agg.latency_p99_ms, 80.0, 80.0 * kBound);
   // The merged count is the sum of per-part bucket mass.
   EXPECT_EQ(agg.latency_hist.count, 1000u);
-  EXPECT_NE(agg.ToJson().find("\"approx_percentiles\": false"),
-            std::string::npos);
 }
 
 // NaN and negative latencies (clock skew, subtraction of unordered
