@@ -3,7 +3,21 @@
 // x86-64 gets an AVX2 clone (no FMA, see kernels.h) of every kernel, picked
 // once at load time; the default clone is the portable baseline. Both
 // clones run the same source, so they produce the same bits.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+//
+// ThreadSanitizer builds take the baseline only: the clones' ifunc
+// resolvers run before the TSan runtime is up and crash the binary before
+// main.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MILR_TSAN_BUILD 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define MILR_TSAN_BUILD 1
+#endif
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(MILR_TSAN_BUILD)
 #define MILR_AVX2_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define MILR_AVX2_CLONES

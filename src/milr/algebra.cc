@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <iterator>
+#include <map>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "support/parallel.h"
 #include "support/prng.h"
@@ -276,48 +279,64 @@ Result<Tensor> ConvSolveParamsPartial(
   const std::size_t g = conv.OutputExtent(x.shape()[0]);
   const std::size_t unknowns = conv.PatchLength();
   const std::size_t yc = conv.out_channels();
+  const Tensor& filters = conv.filters();
   PartialSolveStats local;
   local.suspected_weights = error_indices.size();
 
   // Group suspects by filter: flat layout is (patch_pos u)*Y + k.
   std::vector<std::vector<std::size_t>> per_filter(yc);
   for (const std::size_t idx : error_indices) {
-    if (idx >= conv.filters().size()) {
+    if (idx >= filters.size()) {
       return Status(StatusCode::kInvalidArgument,
                     "ConvSolveParamsPartial: error index out of range");
     }
     per_filter[idx % yc].push_back(idx / yc);
   }
+  // Filters with the same suspect set share one system matrix, so each
+  // distinct set is factored once and its filters ride along as right-hand
+  // side columns. Column solves are independent in every solver, so each
+  // filter gets the bits a solve of its own would give.
+  std::map<std::vector<std::size_t>, std::vector<std::size_t>> by_set;
+  for (std::size_t k = 0; k < yc; ++k) {
+    auto& suspects = per_filter[k];
+    if (suspects.empty()) continue;
+    std::sort(suspects.begin(), suspects.end());
+    by_set[std::move(suspects)].push_back(k);
+  }
+  const std::vector<std::pair<std::vector<std::size_t>,
+                              std::vector<std::size_t>>>
+      groups(std::make_move_iterator(by_set.begin()),
+             std::make_move_iterator(by_set.end()));
 
   const Matrix patches =
       TensorToMatrix(conv.BuildPatchMatrix(x), g * g, unknowns);
-  Tensor repaired = conv.filters();
+  Tensor repaired = filters;
+  std::vector<PartialSolveStats> group_stats(groups.size());
 
-  std::vector<Status> failures(yc, Status::Ok());
-  std::vector<PartialSolveStats> filter_stats(yc);
-
-  ParallelFor(0, yc, [&](std::size_t k) {
-    auto& suspects = per_filter[k];
-    if (suspects.empty()) return;
-    std::sort(suspects.begin(), suspects.end());
-    auto& fs = filter_stats[k];
-    // Residual: golden output column minus known-weight contributions.
-    Matrix rhs(g * g, 1);
-    for (std::size_t pix = 0; pix < g * g; ++pix) {
-      double acc = static_cast<double>(y[pix * yc + k]);
-      const double* prow = patches.row(pix);
-      std::size_t next = 0;
-      for (std::size_t u = 0; u < unknowns; ++u) {
-        if (next < suspects.size() && suspects[next] == u) {
-          ++next;  // unknown — excluded from the known contribution
-          continue;
+  ParallelFor(0, groups.size(), [&](std::size_t gi) {
+    const auto& [suspects, members] = groups[gi];
+    auto& gs = group_stats[gi];
+    // Residuals, one column per filter: golden output minus the known
+    // weights' contributions.
+    Matrix rhs(g * g, members.size());
+    for (std::size_t col = 0; col < members.size(); ++col) {
+      const std::size_t k = members[col];
+      for (std::size_t pix = 0; pix < g * g; ++pix) {
+        double acc = static_cast<double>(y[pix * yc + k]);
+        const double* prow = patches.row(pix);
+        std::size_t next = 0;
+        for (std::size_t u = 0; u < unknowns; ++u) {
+          if (next < suspects.size() && suspects[next] == u) {
+            ++next;  // unknown — excluded from the known contribution
+            continue;
+          }
+          acc -= prow[u] * static_cast<double>(filters[u * yc + k]);
         }
-        acc -= prow[u] * static_cast<double>(repaired[u * yc + k]);
+        rhs.at(pix, col) = acc;
       }
-      rhs.at(pix, 0) = acc;
     }
-    // The suspects' patch columns; when every weight of the filter is
-    // suspect (whole-layer corruption) that is the patch matrix itself.
+    // The suspects' patch columns; when every weight is suspect
+    // (whole-layer corruption) that is the patch matrix itself.
     bool every_weight = suspects.size() == unknowns;
     for (std::size_t s = 0; every_weight && s < suspects.size(); ++s) {
       every_weight = suspects[s] == s;
@@ -331,24 +350,25 @@ Result<Tensor> ConvSolveParamsPartial(
         }
       }
     }
-    if (suspects.size() > g * g) ++fs.least_squares_filters;
+    if (suspects.size() > g * g) gs.least_squares_filters = members.size();
     auto solved = SolveLeastSquares(every_weight ? patches : gathered, rhs);
     if (!solved.ok()) {
-      ++fs.unsolved_filters;
-      failures[k] = solved.status();
+      gs.unsolved_filters = members.size();
       return;
     }
-    for (std::size_t s = 0; s < suspects.size(); ++s) {
-      repaired[suspects[s] * yc + k] =
-          static_cast<float>(solved.value().at(s, 0));
-      ++fs.solved_weights;
+    for (std::size_t col = 0; col < members.size(); ++col) {
+      for (std::size_t s = 0; s < suspects.size(); ++s) {
+        repaired[suspects[s] * yc + members[col]] =
+            static_cast<float>(solved.value().at(s, col));
+      }
     }
+    gs.solved_weights = suspects.size() * members.size();
   }, /*grain=*/1);
 
-  for (const auto& fs : filter_stats) {
-    local.solved_weights += fs.solved_weights;
-    local.least_squares_filters += fs.least_squares_filters;
-    local.unsolved_filters += fs.unsolved_filters;
+  for (const auto& gs : group_stats) {
+    local.solved_weights += gs.solved_weights;
+    local.least_squares_filters += gs.least_squares_filters;
+    local.unsolved_filters += gs.unsolved_filters;
   }
   if (stats != nullptr) *stats = local;
   return repaired;

@@ -99,7 +99,9 @@ struct PartialSolveStats {
 /// `error_indices` (flat indices into the (F,F,Z,Y) filter tensor, e.g.
 /// from 2-D CRC localization). Filters with more than G² suspects fall back
 /// to a minimum-norm least-squares attempt, as the paper does for
-/// whole-layer corruption. Returns the repaired filter tensor.
+/// whole-layer corruption. Filters with identical suspect sets share one
+/// factorization (one right-hand-side column each, the same bits as
+/// separate solves). Returns the repaired filter tensor.
 Result<Tensor> ConvSolveParamsPartial(const nn::Conv2DLayer& conv,
                                       const Tensor& x, const Tensor& y,
                                       const std::vector<std::size_t>& error_indices,

@@ -173,17 +173,14 @@ std::vector<float> MilrProtector::ComputeSignature(
       // must be a *central* one: with same padding, a border pixel's patch
       // is partly zero padding, so weights in the padded-away filter region
       // would not contribute to it and their corruption would be invisible.
+      // Only that pixel is computed: the same bits as the full forward's.
       const auto& conv = static_cast<const nn::Conv2DLayer&>(layer);
       Prng prng(gold.detect_seed);
       const Shape& in_shape = model_->ShapeAt(layer_index);
       const Tensor input = RandomTensor(in_shape, prng);
-      const Tensor out = conv.Forward(input);
-      const std::size_t center = out.shape()[0] / 2;
-      std::vector<float> signature(conv.out_channels());
-      for (std::size_t k = 0; k < conv.out_channels(); ++k) {
-        signature[k] = out.at(center, center, k);
-      }
-      return signature;
+      const std::size_t center = conv.OutputExtent(in_shape[0]) / 2;
+      const Tensor out = conv.ForwardPixel(input, center, center);
+      return {out.flat().begin(), out.flat().end()};
     }
     case nn::LayerKind::kBias: {
       // Sum checksum (Section IV-E c), kept in double for determinism.

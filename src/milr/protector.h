@@ -5,9 +5,11 @@
 //    checkpoints (detection signatures), dummy-stream golden outputs, 2-D
 //    CRC tables and the final output. Runs once, when the network is
 //    deployed.
-//  * Error detection — regenerates each layer's private PRNG input, runs
-//    the layer forward and compares the partial checkpoint. Mismatching
-//    layers are flagged. Lightweight: cost is comparable to one prediction
+//  * Error detection — regenerates each layer's private PRNG input,
+//    recomputes the layer's partial checkpoint and compares it. A dense
+//    layer computes its one output row; a conv layer computes one output
+//    pixel (the centre) per filter, not the whole G² output. Mismatching
+//    layers are flagged. Lightweight: far cheaper than one prediction
 //    (Table X).
 //  * Error recovery — for each flagged layer, the golden input is propagated
 //    forward from the nearest preceding checkpoint and the golden output

@@ -326,6 +326,24 @@ Tensor Conv2DLayer::Forward(const Tensor& input) const {
   return out;
 }
 
+Tensor Conv2DLayer::ForwardPixel(const Tensor& input, std::size_t i,
+                                 std::size_t j) const {
+  CheckInput(input.shape());
+  const std::size_t m = input.shape()[0];
+  const std::size_t g = OutputExtent(m);
+  if (i >= g || j >= g) {
+    throw std::invalid_argument("Conv2DLayer::ForwardPixel: pixel outside "
+                                "the " + std::to_string(g) + "x" +
+                                std::to_string(g) + " output");
+  }
+  std::vector<float> row(PatchLength(), 0.0f);
+  Im2ColRowsInto(input.data(), m, i * g + j, 1, row.data());
+  Tensor out(Shape{out_channels_});
+  GemmAccumulate(row.data(), filters_.data(), out.data(), 1, PatchLength(),
+                 out_channels_);
+  return out;
+}
+
 Tensor Conv2DLayer::ForwardBatch(const Tensor& input) const {
   const Shape& shape = input.shape();
   if (shape.rank() != 4 || shape[0] == 0 || shape[1] != shape[2] ||

@@ -51,6 +51,13 @@ class Conv2DLayer final : public Layer {
   /// Always the exact GEMM tier — MILR's init/detect/recover passes come
   /// through here and their signatures must be reproducible bit-for-bit.
   Tensor Forward(const Tensor& input) const override;
+  /// Output pixel (i, j) of Forward(input) alone, shape (Y): one im2col row
+  /// times the filters on the exact tier. The exact GEMM sums each output
+  /// over the patch in the same order whatever the row count, so this is
+  /// bit-identical to Forward(input).at(i, j, ·) at a G²-th of the cost
+  /// (MILR's per-filter detection signature is one pixel).
+  Tensor ForwardPixel(const Tensor& input, std::size_t i,
+                      std::size_t j) const;
   /// Batched im2col: stacks every sample's patch matrix into one
   /// (B·G², F²Z) operand and runs a single GEMM against the filters,
   /// parallelized across row blocks when the product is large enough.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -428,54 +429,185 @@ Tensor DenseSolveSelfContainedReference(std::size_t n, std::size_t p,
   return ::testing::AssertionSuccess();
 }
 
+// Runs the library's and the reference's partial solve on the same inputs
+// and requires the same repaired bits and the same statistics.
+::testing::AssertionResult PartialSolveMatchesReference(
+    const nn::Conv2DLayer& conv, const Tensor& x, const Tensor& y,
+    const std::vector<std::size_t>& suspects, PartialSolveStats* stats) {
+  PartialSolveStats expected_stats;
+  auto solved = ConvSolveParamsPartial(conv, x, y, suspects, stats);
+  auto expected =
+      ConvSolveParamsPartialReference(conv, x, y, suspects, &expected_stats);
+  if (!solved.ok() || !expected.ok()) {
+    return ::testing::AssertionFailure() << "solve failed";
+  }
+  if (std::memcmp(solved.value().data(), expected.value().data(),
+                  expected.value().size() * sizeof(float)) != 0) {
+    return SameBits(solved.value(), expected.value());
+  }
+  if (stats->suspected_weights != expected_stats.suspected_weights ||
+      stats->solved_weights != expected_stats.solved_weights ||
+      stats->least_squares_filters != expected_stats.least_squares_filters ||
+      stats->unsolved_filters != expected_stats.unsolved_filters) {
+    return ::testing::AssertionFailure()
+           << "stats differ: solved " << stats->solved_weights << " vs "
+           << expected_stats.solved_weights << ", least squares "
+           << stats->least_squares_filters << " vs "
+           << expected_stats.least_squares_filters << ", unsolved "
+           << stats->unsolved_filters << " vs "
+           << expected_stats.unsolved_filters;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// `count` distinct patch positions of `unknowns`, drawn from `prng`.
+std::vector<std::size_t> DrawPositions(std::size_t unknowns,
+                                       std::size_t count, Prng& prng) {
+  std::vector<std::size_t> positions(unknowns);
+  for (std::size_t u = 0; u < unknowns; ++u) positions[u] = u;
+  for (std::size_t s = 0; s < count; ++s) {
+    std::swap(positions[s], positions[s + prng.NextBelow(unknowns - s)]);
+  }
+  positions.resize(count);
+  return positions;
+}
+
 struct PartialOracleCase {
   const char* name;
+  std::size_t extent;  // input M; same padding, so G = M
   std::size_t in_channels;
+  std::size_t filters;
   std::size_t suspects;  // per filter; F²Z = every weight
+  std::size_t cluster;   // consecutive filters sharing one suspect set
 };
 
 class ConvPartialOracle : public ::testing::TestWithParam<PartialOracleCase> {
 };
 
 TEST_P(ConvPartialOracle, MatchesReferenceBitwise) {
-  // The CNN's per-filter systems: G² = 256 (16×16, same padding) against
-  // F²Z = 288 (conv layer 7) or 576 (conv layer 10). Four filters keep the
-  // reference loops affordable; every filter is an independent system.
+  // The CNN's per-filter systems: G² = 256 (16×16) against F²Z = 288 (conv
+  // layer 7) or 576 (conv layer 10), and G² = 64 against F²Z = 1152 (conv
+  // layer 17). Filters in one cluster share a suspect set, as a 2-D CRC
+  // row-group collision makes them, and are solved as one group; a cluster
+  // of 1 is a singleton. A few filters keep the reference loops affordable.
   const PartialOracleCase& c = GetParam();
-  nn::Conv2DLayer conv(3, c.in_channels, 4, nn::Padding::kSame);
+  nn::Conv2DLayer conv(3, c.in_channels, c.filters, nn::Padding::kSame);
   conv.filters() = RandomT(conv.filters().shape(), 40 + c.in_channels);
-  const Tensor x = RandomT(Shape{16, 16, c.in_channels}, 41);
+  const Tensor x = RandomT(Shape{c.extent, c.extent, c.in_channels}, 41);
   const Tensor y = conv.Forward(x);
   const std::size_t unknowns = conv.PatchLength();
   Prng prng(42 + c.suspects);
   std::vector<std::size_t> suspects;
-  for (std::size_t k = 0; k < 4; ++k) {
-    std::vector<std::size_t> positions(unknowns);
-    for (std::size_t u = 0; u < unknowns; ++u) positions[u] = u;
-    for (std::size_t s = 0; s < c.suspects; ++s) {
-      std::swap(positions[s], positions[s + prng.NextBelow(unknowns - s)]);
-      suspects.push_back(positions[s] * 4 + k);
+  std::vector<std::size_t> positions;
+  for (std::size_t k = 0; k < c.filters; ++k) {
+    if (k % c.cluster == 0) {
+      positions = DrawPositions(unknowns, c.suspects, prng);
     }
+    for (const std::size_t u : positions) suspects.push_back(u * c.filters + k);
   }
   for (const std::size_t idx : suspects) conv.filters()[idx] = 0.25f;
-  PartialSolveStats stats, expected_stats;
-  auto solved = ConvSolveParamsPartial(conv, x, y, suspects, &stats);
-  auto expected =
-      ConvSolveParamsPartialReference(conv, x, y, suspects, &expected_stats);
-  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
-  ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(SameBits(solved.value(), expected.value()));
-  EXPECT_EQ(stats.solved_weights, expected_stats.solved_weights);
-  EXPECT_EQ(stats.least_squares_filters, expected_stats.least_squares_filters);
+  PartialSolveStats stats;
+  EXPECT_TRUE(PartialSolveMatchesReference(conv, x, y, suspects, &stats));
+  EXPECT_EQ(stats.solved_weights, c.suspects * c.filters);
+  EXPECT_EQ(stats.unsolved_filters, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     CnnShapes, ConvPartialOracle,
-    ::testing::Values(PartialOracleCase{"L7Whole", 32, 288},
-                      PartialOracleCase{"L10Whole", 64, 576},
-                      PartialOracleCase{"L10Underdetermined", 64, 300},
-                      PartialOracleCase{"L10Overdetermined", 64, 100}),
+    ::testing::Values(
+        PartialOracleCase{"L7Whole", 16, 32, 4, 288, 1},
+        PartialOracleCase{"L10Whole", 16, 64, 4, 576, 1},
+        PartialOracleCase{"L10Underdetermined", 16, 64, 4, 300, 1},
+        PartialOracleCase{"L10Overdetermined", 16, 64, 4, 100, 1},
+        PartialOracleCase{"L7Clusters", 16, 32, 8, 280, 4},
+        PartialOracleCase{"L10OverdeterminedClusters", 16, 64, 8, 120, 4},
+        PartialOracleCase{"L17Whole", 8, 128, 4, 1152, 1},
+        PartialOracleCase{"L17Clusters", 8, 128, 8, 1100, 4}),
     [](const auto& info) { return std::string(info.param.name); });
+
+TEST(ConvPartialOracleMixed, CrcCollisionPatternMatchesReference) {
+  // What whole-layer corruption of conv layer 10 leaves after 2-D CRC
+  // localization: most filters suspect every weight, some lose the same
+  // few weights to a checksum collision, others lose their own, one filter
+  // is clean and one has a handful of suspects. Groups of 4, 3, and 1.
+  nn::Conv2DLayer conv(3, 64, 12, nn::Padding::kSame);
+  conv.filters() = RandomT(conv.filters().shape(), 43);
+  const Tensor x = RandomT(Shape{16, 16, 64}, 44);
+  const Tensor y = conv.Forward(x);
+  const std::size_t unknowns = conv.PatchLength();
+  Prng prng(45);
+  std::vector<std::size_t> all(unknowns);
+  for (std::size_t u = 0; u < unknowns; ++u) all[u] = u;
+  const auto without = [&](std::vector<std::size_t> dropped) {
+    std::vector<std::size_t> kept;
+    for (const std::size_t u : all) {
+      if (std::find(dropped.begin(), dropped.end(), u) == dropped.end()) {
+        kept.push_back(u);
+      }
+    }
+    return kept;
+  };
+  const std::vector<std::size_t> collided = without({3, 200, 511});
+  std::vector<std::vector<std::size_t>> sets = {
+      all, all, all, all,                                // whole, group of 4
+      collided, collided, collided,                      // shared, group of 3
+      without({17}), without({0, 575}),                  // singletons
+      {},                                                // clean filter
+      DrawPositions(unknowns, 40, prng), all};           // few; whole again
+  std::vector<std::size_t> suspects;
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    // Reverse order per filter: the solver must not rely on sorted input.
+    for (auto it = sets[k].rbegin(); it != sets[k].rend(); ++it) {
+      suspects.push_back(*it * 12 + k);
+    }
+  }
+  for (const std::size_t idx : suspects) conv.filters()[idx] = -1.5f;
+  PartialSolveStats stats;
+  EXPECT_TRUE(PartialSolveMatchesReference(conv, x, y, suspects, &stats));
+  EXPECT_EQ(stats.suspected_weights, suspects.size());
+  EXPECT_EQ(stats.solved_weights, suspects.size());
+  EXPECT_EQ(stats.least_squares_filters, 10u);  // all but the 40 and clean
+  EXPECT_EQ(stats.unsolved_filters, 0u);
+}
+
+TEST(ConvPartialOracleMixed, RankDeficientGroupIsReportedUnsolved) {
+  // Channel 0 of the input is all zero, so every patch column of a
+  // channel-0 weight is zero: the four filters that share a suspect set
+  // containing one cannot be solved and keep their values, while the two
+  // filters whose sets avoid channel 0 are repaired.
+  nn::Conv2DLayer conv(3, 4, 6, nn::Padding::kValid);  // G² = 16, F²Z = 36
+  conv.filters() = RandomT(conv.filters().shape(), 46);
+  const Tensor golden = conv.filters();
+  Tensor x = RandomT(Shape{6, 6, 4}, 47);
+  for (std::size_t p = 0; p < 36; ++p) x[p * 4] = 0.0f;
+  const Tensor y = conv.Forward(x);
+  // Patch position u = (f1·3 + f2)·4 + z; u = 0 and u = 8 are channel 0.
+  const std::vector<std::size_t> singular = {0, 1, 5, 8, 10};
+  const std::vector<std::size_t> regular = {1, 2, 6, 13, 35};
+  std::vector<std::size_t> suspects;
+  for (std::size_t k = 0; k < 6; ++k) {
+    for (const std::size_t u : k < 4 ? singular : regular) {
+      suspects.push_back(u * 6 + k);
+    }
+  }
+  for (const std::size_t idx : suspects) conv.filters()[idx] = 7.0f;
+  PartialSolveStats stats;
+  EXPECT_TRUE(PartialSolveMatchesReference(conv, x, y, suspects, &stats));
+  EXPECT_EQ(stats.unsolved_filters, 4u);
+  EXPECT_EQ(stats.solved_weights, 10u);
+  auto solved = ConvSolveParamsPartial(conv, x, y, suspects, nullptr);
+  ASSERT_TRUE(solved.ok());
+  for (std::size_t k = 0; k < 6; ++k) {
+    for (const std::size_t u : k < 4 ? singular : regular) {
+      if (k < 4) {
+        EXPECT_EQ(solved.value()[u * 6 + k], 7.0f) << "filter " << k;
+      } else {
+        EXPECT_NEAR(solved.value()[u * 6 + k], golden[u * 6 + k], 1e-4f)
+            << "filter " << k;
+      }
+    }
+  }
+}
 
 TEST(DenseSolveOracle, SelfContainedMatchesReferenceBitwise) {
   // The CNN's dense layer 25 (2048→128) in self-contained mode, plus a

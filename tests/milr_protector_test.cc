@@ -264,6 +264,33 @@ TEST(ProtectorTest, CifarSmallWholeLayerSplitIsPinned) {
   }
 }
 
+TEST(ProtectorTest, CifarSmallConvSignaturesSeeEdgeFilterWeights) {
+  // The conv signature is the centre output pixel alone. A one-weight change
+  // in the first filter (first patch position) or the last filter (last
+  // patch position, the far corner of the window) of every conv layer must
+  // still flag exactly that layer.
+  nn::Model model = apps::BuildCifarSmallNetwork();
+  nn::InitHeUniform(model, 3);
+  MilrProtector protector(model);
+  ASSERT_FALSE(protector.Detect().any());
+  std::size_t convs = 0;
+  for (std::size_t i = 0; i < model.LayerCount(); ++i) {
+    if (model.layer(i).kind() != nn::LayerKind::kConv2D) continue;
+    ++convs;
+    const std::size_t size = model.layer(i).Params().size();
+    for (const std::size_t idx : {std::size_t{0}, size - 1}) {
+      const float golden = model.layer(i).Params()[idx];
+      model.layer(i).Params()[idx] = golden + 0.5f;
+      EXPECT_EQ(protector.Detect().flagged_layers,
+                std::vector<std::size_t>{i})
+          << "layer " << i << " weight " << idx;
+      model.layer(i).Params()[idx] = golden;
+    }
+  }
+  EXPECT_EQ(convs, 7u);
+  EXPECT_FALSE(protector.Detect().any());
+}
+
 TEST(ProtectorTest, RecoverOnCleanReportIsEmpty) {
   nn::Model model = TestModel();
   MilrProtector protector(model);

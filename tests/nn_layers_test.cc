@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -213,6 +214,50 @@ TEST(ConvTest, RejectsEvenFilterWithSamePadding) {
 TEST(ConvTest, RejectsWrongChannels) {
   Conv2DLayer conv(3, 2, 4, Padding::kValid);
   EXPECT_THROW(conv.Forward(RandomT(Shape{6, 6, 3}, 9)),
+               std::invalid_argument);
+}
+
+TEST(ConvTest, ForwardPixelMatchesForwardBitwise) {
+  // MILR's detection signature is one output pixel per filter; computing
+  // that pixel alone must give Forward's bits at every position, padding
+  // edges and corners included. Z = 3 and 5 leave the patch length off any
+  // multiple of four; Y = 70 spans two exact-GEMM column panels.
+  for (const Padding padding : {Padding::kSame, Padding::kValid}) {
+    for (const std::size_t f : {1u, 3u, 5u}) {
+      for (const std::size_t m : {7u, 8u}) {
+        for (const std::size_t z : {3u, 5u}) {
+          for (const std::size_t y : {6u, 70u}) {
+            Conv2DLayer conv(f, z, y, padding);
+            conv.filters() = RandomT(conv.filters().shape(), 10 + f * z + y);
+            const Tensor x = RandomT(Shape{m, m, z}, 11 + m + z);
+            const Tensor full = conv.Forward(x);
+            const std::size_t g = conv.OutputExtent(m);
+            for (std::size_t i = 0; i < g; ++i) {
+              for (std::size_t j = 0; j < g; ++j) {
+                const Tensor pixel = conv.ForwardPixel(x, i, j);
+                ASSERT_EQ(pixel.shape(), Shape({y}));
+                const float* expected = full.data() + full.Offset3(i, j, 0);
+                ASSERT_EQ(std::memcmp(pixel.data(), expected,
+                                      y * sizeof(float)),
+                          0)
+                    << (padding == Padding::kSame ? "same" : "valid")
+                    << " F=" << f << " M=" << m << " Z=" << z << " Y=" << y
+                    << " pixel (" << i << "," << j << ")";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvTest, ForwardPixelRejectsOutsidePixel) {
+  Conv2DLayer conv(3, 2, 4, Padding::kValid);
+  const Tensor x = RandomT(Shape{6, 6, 2}, 12);
+  EXPECT_THROW(conv.ForwardPixel(x, 4, 0), std::invalid_argument);
+  EXPECT_THROW(conv.ForwardPixel(x, 0, 4), std::invalid_argument);
+  EXPECT_THROW(conv.ForwardPixel(RandomT(Shape{6, 6, 3}, 13), 0, 0),
                std::invalid_argument);
 }
 
